@@ -13,25 +13,25 @@ g = geometry_for_q(3)
 mask = QH.assemble(g, QH.QuasiKind("SH2", j=1))
 
 print("=== the graph of S1+H2 at q = 3 ===")
-res = srg.graph_params(g, mask, sample_vertices=100, sample_pairs=3000, seed=0)
+res = srg.graph_params(g, mask)  # every vertex pair, by an exact transform
 print(f"  n = {res['n']}, k = {res['k']}, lambda = {res['lambda']}, mu = {res['mu']}")
 assert res["srg_ok"]
 
-full = srg.graph_params(g, mask, sample_vertices=20, seed=0, exhaustive=True)
-print(f"  exhaustive difference-class sweep agrees: "
-      f"lambda = {full['lambda']}, mu = {full['mu']}")
-assert (full["lambda"], full["mu"]) == (res["lambda"], res["mu"])
+wd = srg.weight_distribution(g, mask)
+eig = srg.eigenvalue_params(g.Q, int(mask.sum()), wd)
+print(f"  eigenvalue route from the code weights agrees: "
+      f"k = {eig[0]}, lambda = {eig[1]}, mu = {eig[2]}")
+assert eig == (res["k"], res["lambda"], res["mu"])
 
 print()
 print("=== the two-weight code ===")
-wd = srg.weight_distribution(g, mask)
 direct = srg.weight_distribution_direct(g, mask)
 print(f"  weights via plane sweep:       {wd}")
 print(f"  weights via codeword listing:  {direct}")
 assert wd == direct and len(wd) == 2
 
 print()
-herm = srg.graph_params(g, V.hermitian_set(g), sample_vertices=20, sample_pairs=300, seed=1)
+herm = srg.graph_params(g, V.hermitian_set(g))
 print(
     "the classical Hermitian surface gives the same parameters "
     f"(k={herm['k']}, lambda={herm['lambda']}, mu={herm['mu']}): "

@@ -420,20 +420,13 @@ def cmd_srg(args):
     from . import srg
     from . import quasi as QH
 
+    srg.check_memory(args.q)
     geom = _geometry(args)
     mask = _named_set(geom, args.set)
-    check = QH.verify_quasi_hermitian(geom, mask)
-    if not check["is_quasi"]:
+    if len(QH.plane_spectrum(geom, mask)) != 2:
         print("input set is not two-character; refusing", file=sys.stderr)
         return 2
-    res = srg.graph_params(
-        geom,
-        mask,
-        sample_vertices=args.vertices,
-        sample_pairs=args.pairs,
-        seed=args.seed,
-        exhaustive=args.exhaustive,
-    )
+    res = srg.graph_params(geom, mask)
     emit(args, {"header": field_header(geom.F), "set": args.set, "graph": res})
     return 0 if res["srg_ok"] else 1
 
@@ -520,10 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--census", action="store_true")
     p = add("srg", cmd_srg)
     p.add_argument("--set", default="V4:SH2:j=1")
-    p.add_argument("--vertices", type=int, default=100)
-    p.add_argument("--pairs", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true")
     p = add("code-weights", cmd_code_weights)
     p.add_argument("--set", default="V4:SH2:j=1")
     add("report", cmd_report)

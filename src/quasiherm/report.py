@@ -216,19 +216,17 @@ def report_all(geom: Geometry, srg_checks: bool = True) -> list:
 
     if srg_checks:
         mask = QH.assemble(geom, QH.QuasiKind("SH2", j=1))
-        gp = S.graph_params(geom, mask, sample_vertices=100, sample_pairs=10_000)
+        gp = S.graph_params(geom, mask)
         wd = S.weight_distribution(geom, mask)
-        spec = QH.plane_spectrum(geom, mask)
-        size = int(mask.sum())
-        dual = {}
-        for h, m in spec.items():
-            w = size - h
-            if w:
-                dual[w] = dual.get(w, 0) + m * (geom.Q - 1)
+        ok = gp["srg_ok"] and len(wd) == 2
+        if ok:
+            n, k, lam, mu = gp["n"], gp["k"], gp["lambda"], gp["mu"]
+            ok = S.eigenvalue_params(geom.Q, int(mask.sum()), wd) == (k, lam, mu)
+            ok &= k * (k - lam - 1) == (n - k - 1) * mu
         _entry(
             res,
             "srg_and_code",
-            gp["srg_ok"] and wd == dual and len(wd) == 2,
+            ok,
             f"k={gp['k']} lambda={gp['lambda']} mu={gp['mu']}",
         )
     else:

@@ -2,24 +2,47 @@
 
 The graph lives on the q^8 points of the affine space over the plane at
 infinity: vertices are vectors of GF(q^2)^4, and u ~ v iff the direction
-point of the line uv belongs to the base set.  The graph is never
-materialized; adjacency is a direction-index lookup against the set's
-bitmask, and common-neighbour counts are exact vectorized sweeps.
+point of the line uv belongs to the base set.  Adjacency is translation
+invariant: u ~ v iff f(v - u) = 1, where f is the indicator of the
+direction cone D = {c * P : P in the set, c != 0}.  So the number of
+common neighbours of a pair (u, u + d) is the autocorrelation
 
-Because adjacency is translation invariant, the common-neighbour count
-of a pair (u, v) depends only on d = v - u; the exhaustive mode walks
-every nonzero difference class, which covers every vertex pair exactly.
+    C(d) = sum_x f(x) f(x + d),
+
+and graph_params reads every pair off C at once: degree = C(0), lambda =
+the values of C on adjacent d != 0, mu = the values on non-adjacent
+d != 0.
+
+Vector codes are base-p digit strings (a field code is the base-p
+integer of its coefficients over GF(p), see gf.py), so the length-q^8
+array of f reshapes to (p,)^(8e) with no reindexing, and vector
+addition is digitwise addition mod p.  C is computed by a
+number-theoretic transform over (Z_p)^(8e): modulo a prime r = 1
+(mod p), which has a primitive p-th root of unity w, the p x p matrix
+(w^(ij)) is applied along every axis.  f(-x) = f(x), so the transform of
+C is the square of the transform of f and is itself symmetric; hence
+C = q^-8 * T(T(f)^2) mod r with the same forward transform T twice.
+These identities hold exactly in Z/r, and r > q^8 > C(d) >= 0, so the
+residues are the true counts.  All arithmetic is int64: every transform
+output is a sum of p products of residues, and p * r^2 < 2^63 is
+checked before the first one.
 
 The projective code of the set has the set's coordinate vectors as
 columns; its weight distribution falls out of the plane spectrum via
 weight = |set| - h, and (for small q) is cross-checked by enumerating
-all q^8 - 1 codewords directly.
+all q^8 - 1 codewords directly.  eigenvalue_params turns the two weights
+of a two-character set into (k, lambda, mu) by the eigenvalue formulas
+(Delsarte 1972; Calderbank and Kantor 1986), a route to the graph
+parameters that is independent of the transform.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
+from .gf import is_prime
 from .projgeom import Geometry
 from . import quasi as QH
 
@@ -35,99 +58,124 @@ def _affine_vectors(geom: Geometry) -> np.ndarray:
     return out
 
 
-def _direction_index(geom: Geometry, diffs: np.ndarray) -> np.ndarray:
-    """Point index of each nonzero difference vector (zero rows -> -1)."""
-    nz = (diffs != 0).any(axis=1)
-    out = np.full(len(diffs), -1, dtype=np.int64)
-    if nz.any():
-        out[nz] = geom.index_rows(geom.canonicalize_rows(diffs[nz]))
-    return out
+def memory_budget() -> int:
+    """Bytes the transform may hold: a quarter of the physical memory,
+    which leaves the rest to the geometry, the plane sweep and other
+    processes, and gives the same answer on every run on one machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 4
 
 
-def graph_params(
-    geom: Geometry,
-    mask: np.ndarray,
-    sample_vertices: int = 100,
-    sample_pairs: int = 10_000,
-    seed: int = 0,
-    exhaustive: bool = False,
-) -> dict:
-    """Exact degree and common-neighbour statistics of the graph.
+def check_memory(q: int) -> None:
+    """Raise ValueError, before anything is allocated, when the transform
+    at order q does not fit the memory budget.
 
-    Sampled vertices get their degree counted outright; sampled pairs
-    (or, with exhaustive=True, every difference class) get exact common
-    neighbour counts.  srg_ok reports whether the counts are constant on
-    the adjacent and non-adjacent classes.
+    graph_params holds 17 * q^8 bytes at its peak: two int64 arrays of
+    q^8 cells (the transform's input and output) and the bool cone.
     """
-    F = geom.F
-    Q = geom.Q
-    n = Q**4
-    vecs = _affine_vectors(geom)
-    sub = F.add_t[np.arange(Q)[:, None], F.neg_t[np.arange(Q)][None, :]]
+    need, budget = 17 * q**8, memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"the srg transform at q={q} needs about {need >> 20} MiB "
+            f"({q**8} cells), over the budget of {budget >> 20} MiB"
+        )
 
-    def diff_rows(u):
-        return sub[vecs, u[None, :]]
 
-    # direction-index table over all nonzero vectors, reused throughout
-    dir_idx = _direction_index(geom, vecs)
-    in_set = np.zeros(n, dtype=bool)
-    nzmask = dir_idx >= 0
-    in_set[nzmask] = mask[dir_idx[nzmask]]
+def _ntt_modulus(n: int, p: int) -> tuple:
+    """The least prime r = 1 (mod p) above n, and a primitive p-th root
+    of unity mod r."""
+    r = (n // p + 1) * p + 1
+    while not is_prime(r):
+        r += p
+    if p * r * r >= 1 << 63:
+        raise ValueError(f"modulus {r}: sums of {p} products overflow int64")
+    g = 2
+    while pow(g, (r - 1) // p, r) == 1:
+        g += 1
+    return r, pow(g, (r - 1) // p, r)
 
-    rng = np.random.default_rng(seed)
-    degree_target = (Q - 1) * int(mask.sum())
-    verts = rng.choice(n, size=min(sample_vertices, n), replace=False)
-    degrees = set()
-    for u in verts:
-        d = _direction_index(geom, diff_rows(vecs[u]))
-        degrees.add(int((mask[d[d >= 0]]).sum()))
-    degree_ok = degrees == {degree_target} if len(verts) else True
 
-    def vec_code(row):
-        code = 0
-        for c in range(4):
-            code = code * Q + int(row[c])
-        return code
+def direction_cone(geom: Geometry, mask: np.ndarray) -> np.ndarray:
+    """Indicator of {c * P : P in the set, c != 0}, indexed by vector code
+    (code = sum v_c Q^(3-c)); (Q-1)|set| scattered writes."""
+    F, Q = geom.F, geom.Q
+    pts = geom.pts[mask]
+    scalars = np.arange(1, Q)
+    codes = np.zeros((Q - 1, len(pts)), dtype=np.int64)
+    for c in range(4):
+        codes = codes * Q + F.mul_t[scalars[:, None], pts[None, :, c]]
+    cone = np.zeros(Q**4, dtype=bool)
+    cone[codes.ravel()] = True
+    return cone
 
-    lam_counts: set = set()
-    mu_counts: set = set()
-    if exhaustive:
-        # one representative pair per difference class covers all pairs
-        for dcode in range(1, n):
-            d = vecs[dcode]
-            shifted = sub[vecs, d[None, :]]
-            codes = np.zeros(n, dtype=np.int64)
-            for c in range(4):
-                codes = codes * Q + shifted[:, c]
-            common = int((in_set & in_set[codes]).sum())
-            (lam_counts if in_set[dcode] else mu_counts).add(common)
-    else:
-        pairs = 0
-        while pairs < sample_pairs:
-            dcode = int(rng.integers(1, n))
-            d = vecs[dcode]
-            u = vecs[int(rng.integers(0, n))]
-            v = F.add_t[u, d]
-            du = _direction_index(geom, sub[vecs, u[None, :]])
-            dv = _direction_index(geom, sub[vecs, v[None, :]])
-            au = np.zeros(n, dtype=bool)
-            au[du >= 0] = mask[du[du >= 0]]
-            av = np.zeros(n, dtype=bool)
-            av[dv >= 0] = mask[dv[dv >= 0]]
-            common = int((au & av).sum())
-            (lam_counts if in_set[dcode] else mu_counts).add(common)
-            pairs += 1
-    lam = lam_counts.pop() if len(lam_counts) == 1 else None
-    mu = mu_counts.pop() if len(mu_counts) == 1 else None
+
+def autocorrelation(geom: Geometry, cone: np.ndarray) -> np.ndarray:
+    """C(d) = #{x : x and x + d in the cone} for every vector code d."""
+    p, axes = geom.F.p, 8 * geom.F.e
+    n = len(cone)
+    r, w = _ntt_modulus(n, p)
+    W = np.array([[pow(w, i * j, r) for j in range(p)] for i in range(p)], dtype=np.int64)
+
+    a = cone.astype(np.int64)
+    for step in range(2 * axes):
+        if step == axes:  # a = T(f); square it and transform again
+            a *= a
+            a %= r
+        # W along the leading axis, which then rotates to the back; after
+        # all the axes the order is the original one again.  The loop owns
+        # the only reference to a, so at most two int64 arrays are alive.
+        a = np.matmul(W, a.reshape(p, -1))
+        a %= r
+        a = a.T.copy().reshape(-1)
+    a *= pow(n, r - 2, r)
+    a %= r
+    return a
+
+
+def _constant(C: np.ndarray, where: np.ndarray):
+    """The one value of C on `where`, or None if there are several or none."""
+    lo = int(C.min(where=where, initial=len(C)))
+    return lo if lo == int(C.max(where=where, initial=-1)) else None
+
+
+def graph_params(geom: Geometry, mask: np.ndarray) -> dict:
+    """Exact degree and common-neighbour counts of the graph, over all pairs.
+
+    srg_ok reports whether the counts are constant on the adjacent and on
+    the non-adjacent pairs; lambda (mu) is None when they are not, or when
+    there are no such pairs.
+    """
+    check_memory(geom.F.q)
+    cone = direction_cone(geom, mask)
+    C = autocorrelation(geom, cone)
+    k = int(C[0])
+    degree_ok = k == (geom.Q - 1) * int(mask.sum())
+    lam = _constant(C, cone)
+    cone = ~cone
+    cone[0] = False  # d = 0 is not a pair
+    mu = _constant(C, cone)
     return {
-        "n": n,
-        "k": degree_target,
-        "degree_ok": bool(degree_ok),
+        "n": len(C),
+        "k": k,
+        "degree_ok": degree_ok,
         "lambda": lam,
         "mu": mu,
-        "srg_ok": bool(degree_ok and lam is not None and mu is not None),
-        "exhaustive": exhaustive,
+        "srg_ok": degree_ok and lam is not None and mu is not None,
     }
+
+
+def eigenvalue_params(Q: int, size: int, weights) -> tuple:
+    """(k, lambda, mu) of the graph of a set of `size` points whose code
+    has exactly the two nonzero weights w1 < w2.
+
+    A nonzero character of the cone sums to Q*h - size = k - Q*w over a
+    plane meeting the set in h = size - w points, so the eigenvalues are
+    r, s = k - Q*w1, k - Q*w2, and then mu = k + r*s, lambda = mu + r + s.
+    """
+    w1, w2 = sorted(weights)
+    k = (Q - 1) * size
+    r, s = k - Q * w1, k - Q * w2
+    mu = k + r * s
+    return k, mu + r + s, mu
 
 
 def weight_distribution(geom: Geometry, mask: np.ndarray) -> dict:

@@ -216,23 +216,19 @@ def test_criterion_09_line_orbit_count():
 def test_criterion_10_srg_and_code():
     g = geometry_for_q(3)
     mask = QH.assemble(g, QH.QuasiKind("SH2", j=1))
-    sampled = srg.graph_params(
-        g, mask, sample_vertices=100, sample_pairs=10_000, seed=0
-    )
-    ok = sampled["degree_ok"] and sampled["k"] == 2240 and sampled["srg_ok"]
+    gp = srg.graph_params(g, mask)  # every vertex pair, exactly
+    ok = gp["degree_ok"] and gp["k"] == 2240 and gp["srg_ok"]
     wd = srg.weight_distribution(g, mask)
     ok &= wd == {243: 2240, 252: 4320}
     ok &= srg.weight_distribution_direct(g, mask) == wd
-    exhaustive = srg.graph_params(g, mask, sample_vertices=10, seed=0, exhaustive=True)
-    ok &= exhaustive["srg_ok"]
-    ok &= (exhaustive["lambda"], exhaustive["mu"]) == (
-        sampled["lambda"],
-        sampled["mu"],
-    )
+    n, k, lam, mu = gp["n"], gp["k"], gp["lambda"], gp["mu"]
+    if ok:
+        ok &= srg.eigenvalue_params(g.Q, int(mask.sum()), wd) == (k, lam, mu)
+        ok &= k * (k - lam - 1) == (n - k - 1) * mu
     verdict(
         10,
         ok,
-        f"k={sampled['k']} lambda={sampled['lambda']} mu={sampled['mu']} "
+        f"k={gp['k']} lambda={gp['lambda']} mu={gp['mu']} "
         f"weights={wd}",
     )
 

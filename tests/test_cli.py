@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quasiherm.cli import main
 
 
@@ -124,5 +126,26 @@ def test_code_weights(capsys):
 
 
 def test_srg_refuses_non_two_character(capsys):
-    code, _, err = run(capsys, "srg", "--q", "3", "--set", "curve", "--pairs", "10")
+    code, _, err = run(capsys, "srg", "--q", "3", "--set", "curve")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name, params", [("quadric", (800, 151, 90)), ("baer", (320, 85, 12))]
+)
+def test_srg_accepts_two_character_sets(capsys, name, params):
+    code, out, _ = run(capsys, "srg", "--q", "3", "--set", name)
+    d = json.loads(out)["graph"]
+    assert code == 0 and d["srg_ok"]
+    k, lam, mu = params
+    assert (d["k"], d["lambda"], d["mu"]) == params
+    assert k * (k - lam - 1) == (d["n"] - k - 1) * mu
+
+
+def test_srg_refuses_oversize_transform_before_building(capsys, monkeypatch):
+    from quasiherm import srg
+
+    monkeypatch.setattr(srg, "memory_budget", lambda: 2 << 30)
+    code, out, err = run(capsys, "srg", "--q", "11", "--allow-large")
+    assert code == 2 and out == ""
+    assert "q=11" in err and "214358881 cells" in err
