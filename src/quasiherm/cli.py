@@ -56,12 +56,12 @@ def elem_info(F, code: int) -> dict:
 
 
 def _check_q(args) -> None:
-    from .gf import factor_prime_power
+    from .gf import MAX_Q, factor_prime_power
 
     p, _ = factor_prime_power(args.q)  # raises for non prime powers
     if p == 2:
         raise ValueError(f"q={args.q} is even; an odd prime power is required")
-    bound = MAX_CLI_Q if not getattr(args, "allow_large", False) else 13
+    bound = MAX_CLI_Q if not getattr(args, "allow_large", False) else MAX_Q
     if args.q > bound:
         raise ValueError(
             f"q={args.q} exceeds the default bound {MAX_CLI_Q}"
@@ -138,25 +138,24 @@ def cmd_surfaces(args):
         payload["surface"] = {"id": sid.label(), "size": int(V.build_surface(geom, sid).sum())}
     else:
         crv = V.curve_set(geom)
-        entries = {}
+        sizes = {
+            "hermitian": int(V.hermitian_set(geom).sum()),
+            "quadric": int(V.quadric_set(geom).sum()),
+            "baer": int(V.sigma_set(geom).sum()),
+            "curve": int(crv.sum()),
+        }
         inter_ok = True
         members = [("S", j) for j in V.valid_j(q)] + [("E", k) for k in V.valid_k(q)]
         masks = {}
         for kind, param in members:
             m = V.build_surface(geom, V.SurfaceId(kind, param))
             masks[(kind, param)] = m
-            entries[f"{kind}{param}"] = int(m.sum())
+            sizes[f"{kind}{param}"] = int(m.sum())
         for a in masks:
             for b in masks:
                 if a < b:
                     inter_ok &= bool(((masks[a] & masks[b]) == crv).all())
-        payload["sizes"] = {
-            "hermitian": int(V.hermitian_set(geom).sum()),
-            "quadric": int(V.quadric_set(geom).sum()),
-            "baer": int(V.sigma_set(geom).sum()),
-            "curve": int(crv.sum()),
-            **entries,
-        }
+        payload["sizes"] = sizes
         payload["pairwise_intersections_equal_curve"] = inter_ok
     emit(args, payload)
     return 0
@@ -329,59 +328,12 @@ def cmd_net_census(args):
 
 def cmd_known(args):
     from . import invariants as I
-    from . import quasi as QH
 
     geom = _geometry(args)
-    q = geom.F.q
     payload = {"header": field_header(geom.F), "kind": args.kind}
-    ok = True
-    if args.kind == "V1":
-        built = I.build_V1(geom, args.z)
-        census = I.lines_in_set(geom, built["mask"])
-        want = I.expected_V1_census(q, args.z)
-        ok = (
-            QH.verify_quasi_hermitian(geom, built["mask"])["is_quasi"]
-            and census.contained == want["lines"]
-            and census.per_point_hist == want["hist"]
-        )
-        payload.update(
-            z=args.z,
-            contained_lines=census.contained,
-            expected_lines=want["lines"],
-            histogram={str(k): v for k, v in census.per_point_hist.items()},
-        )
-    elif args.kind == "V2":
-        built = I.build_V2(geom)
-        census = I.lines_in_set(geom, built["mask"])
-        want = I.expected_V2_census(q)
-        ok = (
-            QH.verify_quasi_hermitian(geom, built["mask"])["is_quasi"]
-            and census.contained == want["lines"]
-            and census.per_point_hist == want["hist"]
-        )
-        payload.update(
-            alpha=built["alpha"],
-            beta=built["beta"],
-            contained_lines=census.contained,
-            expected_lines=want["lines"],
-            histogram={str(k): v for k, v in census.per_point_hist.items()},
-        )
-    else:
-        results = {}
-        for kind in ("elliptic", "hyperbolic"):
-            built = I.build_V3(geom, kind)
-            then = I.check_V3_bounds(geom, built)
-            quasi_ok = QH.verify_quasi_hermitian(geom, built["mask"])["is_quasi"]
-            results[kind] = {
-                "is_quasi": quasi_ok,
-                "contained_lines": then["census"].contained,
-                "bounds_ok": then["lines_ok"] and then["outer_ok"] and then["inner_ok"],
-            }
-            ok &= quasi_ok and results[kind]["bounds_ok"]
-        payload["quadrics"] = results
-    payload["ok"] = ok
+    payload.update(I.verify_known(geom, args.kind, args.z))
     emit(args, payload)
-    return 0 if ok else 1
+    return 0 if payload["ok"] else 1
 
 
 def cmd_klein(args):
@@ -406,9 +358,7 @@ def cmd_klein(args):
     ok = True
     for w in omegas:
         length = I.klein_orbit_length(geom, w)
-        expect = F.q**6 - F.q**2
-        if w not in (0, 1):
-            expect //= 2
+        expect = I.expected_klein_orbit_length(F.q, w)
         ok &= length == expect
         rows.append({"omega": w, "orbit_length": length, "expected": expect})
     payload["orbits"] = rows
@@ -453,7 +403,7 @@ def cmd_report(args):
     from .report import report_all
 
     geom = _geometry(args)
-    res = report_all(geom, srg_checks=args.q == 3)
+    res = report_all(geom)
     ok = all(r["status"] != "fail" for r in res)
     emit(
         args,
@@ -475,18 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn):
+        p = sub.add_parser(name)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--allow-large", action="store_true")
         p.set_defaults(fn=fn)
         return p
 
     add("field-info", cmd_field_info)
-    add("geometry", cmd_geometry).add_argument("--counts", action="store_true")
+    add("geometry", cmd_geometry)
     p = add("surfaces", cmd_surfaces)
     p.add_argument("--id", help="surface id like S:1 or E:0")
-    p.add_argument("--list", action="store_true")
     p = add("orbits", cmd_orbits)
     p.add_argument("--group", choices=("K", "G", "Gp"), default="K")
     p.add_argument("--no-stabilizers", action="store_true", help="skip the group scan")

@@ -215,38 +215,43 @@ def generator_perms(geom: Geometry, kind: str):
     return V._cached(geom, key, build)
 
 
+def close_orbit(perms, seed: int, seen: np.ndarray) -> np.ndarray:
+    """Breadth-first closure of one index under the permutations.
+
+    Marks every index reached from seed in `seen` and returns the newly
+    reached indices, seed included.
+    """
+    seen[seed] = True
+    frontier = np.array([seed], dtype=np.int64)
+    reached = [frontier]
+    while frontier.size:
+        imgs = np.unique(np.concatenate([p[frontier] for p in perms]))
+        frontier = imgs[~seen[imgs]]
+        seen[frontier] = True
+        reached.append(frontier)
+    return np.concatenate(reached)
+
+
 def orbits_from_perms(perms, n: int) -> np.ndarray:
     """Connected components of the union of permutations (orbit ids)."""
     orbit_id = np.full(n, -1, dtype=np.int32)
+    seen = np.zeros(n, dtype=bool)
     oid = 0
     cursor = 0
     while True:
-        while cursor < n and orbit_id[cursor] >= 0:
+        while cursor < n and seen[cursor]:
             cursor += 1
         if cursor == n:
             break
-        orbit_id[cursor] = oid
-        frontier = np.array([cursor], dtype=np.int64)
-        while frontier.size:
-            imgs = np.unique(np.concatenate([p[frontier] for p in perms]))
-            new = imgs[orbit_id[imgs] < 0]
-            orbit_id[new] = oid
-            frontier = new
+        orbit_id[close_orbit(perms, cursor, seen)] = oid
         oid += 1
     return orbit_id
 
 
 def orbit_of(geom: Geometry, point_idx: int, kind: str = "K") -> np.ndarray:
     """Boolean mask of the orbit of one point under the chosen group."""
-    perms = generator_perms(geom, kind)
     mask = np.zeros(geom.n_points, dtype=bool)
-    mask[point_idx] = True
-    frontier = np.array([point_idx], dtype=np.int64)
-    while frontier.size:
-        imgs = np.unique(np.concatenate([p[frontier] for p in perms]))
-        new = imgs[~mask[imgs]]
-        mask[new] = True
-        frontier = new
+    close_orbit(generator_perms(geom, kind), point_idx, mask)
     return mask
 
 
@@ -289,67 +294,68 @@ def named_representatives(geom: Geometry):
     return {name: geom.point_index(v) for name, v in reps.items()}
 
 
-def _label_orbits_K(geom: Geometry, orbit_id: np.ndarray, labels: list):
-    F = geom.F
-    q = F.q
+def _named_orbit_points_K(geom: Geometry):
+    """(point index, orbit label) pairs that name the K-orbits."""
+    q = geom.F.q
     reps = named_representatives(geom)
-    curve_idx = int(V.curve_points(geom)[0])
-
-    def put(idx, label):
-        oid = int(orbit_id[idx])
-        if labels[oid] is None:
-            labels[oid] = label
-        elif labels[oid] != label:
-            raise RuntimeError(f"orbit label clash: {labels[oid]} vs {label}")
-
-    put(curve_idx, "O")
-    put(reps["S1_pt"], "Sigma1")
-    put(reps["S2_pt"], "Sigma2")
-    put(reps["U"], "Qplus")
-    put(reps[f"R{(q + 1) // 2}"], "H1")
-    if q > 3:
-        put(reps[f"Q{(q - 1) // 2}"], "H2")
-    else:
-        put(reps["Q1"], "H2")
-    for j in V.valid_j(q):
-        put(reps[f"R{j}"], f"S{j}")
+    named = [
+        (int(V.curve_points(geom)[0]), "O"),
+        (reps["S1_pt"], "Sigma1"),
+        (reps["S2_pt"], "Sigma2"),
+        (reps["U"], "Qplus"),
+        (reps[f"R{(q + 1) // 2}"], "H1"),
+        (reps[f"Q{(q - 1) // 2}"], "H2"),
+    ]
+    named += [(reps[f"R{j}"], f"S{j}") for j in V.valid_j(q)]
     for k in V.middle_k(q):
         # the representative lands in E_k or E_(q-1-k) depending on q mod 4;
         # orbits are labelled by the gamma index of the surface that holds it
         idx = reps[f"Q{k}"]
         m = k if V.surface_E(geom, k)[idx] else q - 1 - k
         assert V.surface_E(geom, m)[idx]
-        put(idx, f"E{m}")
+        named.append((idx, f"E{m}"))
     for name in ("T1", "T2"):
         idx = reps[name]
         m = 0 if V.surface_E(geom, 0)[idx] else q - 1
         assert V.surface_E(geom, m)[idx]
-        put(idx, f"E{m}")
+        named.append((idx, f"E{m}"))
+    return named
 
 
-def _label_orbits_G(geom: Geometry, orbit_id: np.ndarray, labels: list):
-    F = geom.F
-    q = F.q
+def _named_orbit_points_G(geom: Geometry):
+    """(point index, orbit label) pairs that name the G-orbits."""
+    q = geom.F.q
     reps = named_representatives(geom)
-    curve_idx = int(V.curve_points(geom)[0])
+    named = [
+        (int(V.curve_points(geom)[0]), "O"),
+        (reps["S1_pt"], "Sigma"),
+        (reps["U"], "Qplus"),
+        (reps[f"R{(q + 1) // 2}"], "H1"),
+        (reps[f"Q{(q - 1) // 2}"], "H2"),
+    ]
+    named += [(reps[f"R{j}"], f"St{j}") for j in range(1, (q + 1) // 2)]
+    named += [(reps[f"Q{k}"], f"Et{k}") for k in range(1, (q - 1) // 2)]
+    named.append((reps["T1"], "Et0"))
+    return named
 
-    def put(idx, label):
-        oid = int(orbit_id[idx])
-        if labels[oid] is None:
-            labels[oid] = label
-        elif labels[oid] != label:
-            raise RuntimeError(f"orbit label clash: {labels[oid]} vs {label}")
 
-    put(curve_idx, "O")
-    put(reps["S1_pt"], "Sigma")
-    put(reps["U"], "Qplus")
-    put(reps[f"R{(q + 1) // 2}"], "H1")
-    put(reps["Q1"] if q == 3 else reps[f"Q{(q - 1) // 2}"], "H2")
-    for j in range(1, (q + 1) // 2):
-        put(reps[f"R{j}"], f"St{j}")
-    for k in range(1, (q - 1) // 2):
-        put(reps[f"Q{k}"], f"Et{k}")
-    put(reps["T1"], "Et0")
+def expected_orbit_sizes(q: int) -> dict:
+    """Closed-form sizes of the 2q+4 K-orbits, by orbit label."""
+    lower = q**2 * (q**2 + 1) * (q - 1) // 2
+    upper = q**2 * (q**2 + 1) * (q + 1) // 2
+    sizes = {
+        "O": V.size_curve(q),
+        "Sigma1": q * (q**2 + 1) // 2,
+        "Sigma2": q * (q**2 + 1) // 2,
+        "Qplus": q**2 * (q**2 + 1),
+        "H1": lower,
+        "H2": upper,
+        "E0": (q**5 - q) // 2,
+        f"E{q - 1}": (q**5 - q) // 2,
+    }
+    sizes.update({f"S{j}": lower for j in V.valid_j(q)})
+    sizes.update({f"E{k}": upper for k in V.middle_k(q)})
+    return sizes
 
 
 def orbit_decomposition(geom: Geometry, kind: str = "K") -> OrbitDecomposition:
@@ -363,15 +369,28 @@ def orbit_decomposition(geom: Geometry, kind: str = "K") -> OrbitDecomposition:
         reps = [int(np.argmax(orbit_id == i)) for i in range(n)]
         labels = [None] * n
         if kind == "K":
-            _label_orbits_K(geom, orbit_id, labels)
+            named = _named_orbit_points_K(geom)
         else:
-            _label_orbits_G(geom, orbit_id, labels)
+            named = _named_orbit_points_G(geom)
+        for idx, label in named:
+            oid = int(orbit_id[idx])
+            if labels[oid] not in (None, label):
+                raise RuntimeError(f"orbit label clash: {labels[oid]} vs {label}")
+            labels[oid] = label
         labels = [
             lab if lab is not None else f"orbit{i}" for i, lab in enumerate(labels)
         ]
         return OrbitDecomposition(kind, orbit_id, sizes, reps, labels)
 
     return V._cached(geom, key, build)
+
+
+def expected_stabilizer_order(geom: Geometry, point_idx: int) -> int:
+    """Orbit-stabilizer: |K| over the closed-form size of the point's K-orbit."""
+    dec = orbit_decomposition(geom, "K")
+    label = dec.labels[dec.orbit_id[point_idx]]
+    q = geom.F.q
+    return group_order(q, "K") // expected_orbit_sizes(q)[label]
 
 
 def stabilizer_order(geom: Geometry, point_idx: int, kind: str = "K") -> int:

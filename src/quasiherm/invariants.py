@@ -17,6 +17,7 @@ import numpy as np
 from .projgeom import Geometry, PAIRS
 from . import varieties as V
 from . import group as G
+from . import quasi as QH
 
 LINE_CENSUS_MAX_Q = 5  # a full line table at q=7 already holds 5.9M lines
 
@@ -184,35 +185,24 @@ def duality_partner_k(q: int, k: int) -> int:
 
 
 def special_lines_duality(geom: Geometry, k: int) -> dict:
-    """Polarity exchange between L_k and its partner surface."""
+    """Polarity exchange between L_k and its partner surface.
+
+    A line lies in the polar plane of P exactly when its polar line
+    passes through P, so counting the polar lines of L_k through every
+    point gives the L_k lines in every polar plane at once.
+    """
     q = geom.F.q
     lt = geom.lines()
     fam = special_lines(geom, k)
     partner = V.surface_E(geom, duality_partner_k(q, k))
-    crv = V.curve_set(geom)
-    polar_inside = True
-    for li in fam["lines"]:
-        pol = lt.polar_line(int(li))
-        if not partner[lt.all_points()[pol]].all():
-            polar_inside = False
-            break
-    # every point of the partner orbit carries exactly two L_k lines in
-    # its polar plane
-    contained = np.zeros(geom.n_lines, dtype=bool)
-    contained[fam["lines"]] = True
-    carrier = np.flatnonzero(partner & ~crv)
-    ok_two = True
-    sig = V.sigma_set(geom)
-    for pi in carrier[:: max(1, len(carrier) // 200)]:  # exact, sampled points
-        plane = geom.perp_quadric(int(pi))
-        on = geom.plane_points(plane)
-        onmask = np.zeros(geom.n_points, dtype=bool)
-        onmask[on] = True
-        cnt = int(onmask[lt.all_points()[fam["lines"]]].all(axis=1).sum())
-        if cnt != 2:
-            ok_two = False
-            break
-    return {"polar_lines_in_partner": polar_inside, "two_per_polar_plane": ok_two}
+    carrier = partner & ~V.curve_set(geom)
+    polars = [lt.polar_line(int(li)) for li in fam["lines"]]
+    polar_pts = lt.all_points()[polars]
+    through = np.bincount(polar_pts.ravel(), minlength=geom.n_points)
+    return {
+        "polar_lines_in_partner": bool(partner[polar_pts].all()),
+        "two_per_polar_plane": bool((through[carrier] == 2).all()),
+    }
 
 
 # -- pencil point counts and the PG(7, q) net --------------------------------
@@ -487,6 +477,17 @@ def expected_V2_census(q: int) -> dict:
     }
 
 
+def expected_V4_census(q: int) -> dict:
+    """Line census of S_1 + H2: no contained line through a point of
+    S_1 minus the curve, two through each H2 point, q+1 through each
+    curve point."""
+    size = G.expected_orbit_sizes(q)
+    return {
+        "lines": (q + 1) * (q**2 + 1),
+        "hist": {0: size["S1"], 2: size["H2"], q + 1: size["O"]},
+    }
+
+
 def baer_coordinates(geom: Geometry):
     """Baer parametrization (a, b0, b1, c) of the subgeometry points.
 
@@ -570,6 +571,48 @@ def check_V3_bounds(geom: Geometry, built: dict) -> dict:
         "inner_ok": bool((through[inner] >= q + 1).all())
         and int(inner.sum()) == (q + 1) * (q**2 + 1),
     }
+
+
+def verify_known(geom: Geometry, kind: str, z: int = 1) -> dict:
+    """Build one known construction (V1, V2 or V3) and check it.
+
+    Every construction must be quasi-Hermitian; V1 and V2 must also meet
+    their line census, V3 (on both Baer quadrics) its covering bounds.
+    """
+    q = geom.F.q
+    if kind == "V3":
+        quadrics = {}
+        for quad in ("elliptic", "hyperbolic"):
+            built = build_V3(geom, quad)
+            chk = check_V3_bounds(geom, built)
+            quasi = QH.verify_quasi_hermitian(geom, built["mask"])
+            quadrics[quad] = {
+                "is_quasi": quasi["is_quasi"],
+                "contained_lines": chk["census"].contained,
+                "bounds_ok": chk["lines_ok"] and chk["outer_ok"] and chk["inner_ok"],
+            }
+        ok = all(r["is_quasi"] and r["bounds_ok"] for r in quadrics.values())
+        return {"quadrics": quadrics, "ok": ok}
+    if kind == "V1":
+        built = build_V1(geom, z)
+        want = expected_V1_census(q, z)
+        out = {"z": z}
+    elif kind == "V2":
+        built = build_V2(geom)
+        want = expected_V2_census(q)
+        out = {"alpha": built["alpha"], "beta": built["beta"]}
+    else:
+        raise ValueError(f"kind must be V1, V2 or V3, not {kind!r}")
+    census = lines_in_set(geom, built["mask"])
+    out.update(
+        ok=QH.verify_quasi_hermitian(geom, built["mask"])["is_quasi"]
+        and census.contained == want["lines"]
+        and census.per_point_hist == want["hist"],
+        contained_lines=census.contained,
+        expected_lines=want["lines"],
+        histogram={str(k): v for k, v in census.per_point_hist.items()},
+    )
+    return out
 
 
 # -- Klein correspondence ----------------------------------------------------
@@ -700,16 +743,14 @@ def klein_orbit_length(geom: Geometry, omega: int) -> int:
     seed = int(
         lt.lookup(geom.canonicalize_rows(np.array([start], dtype=np.int16)))[0]
     )
-    perms = _line_perms(geom)
-    mask = np.zeros(geom.n_lines, dtype=bool)
-    mask[seed] = True
-    frontier = np.array([seed], dtype=np.int64)
-    while frontier.size:
-        imgs = np.unique(np.concatenate([p[frontier] for p in perms]))
-        new = imgs[~mask[imgs]]
-        mask[new] = True
-        frontier = new
-    return int(mask.sum())
+    seen = np.zeros(geom.n_lines, dtype=bool)
+    return len(G.close_orbit(_line_perms(geom), seed, seen))
+
+
+def expected_klein_orbit_length(q: int, omega: int) -> int:
+    """q^6 - q^2 for omega in {0, 1}, half of that otherwise."""
+    length = q**6 - q**2
+    return length if omega in (0, 1) else length // 2
 
 
 # -- the full line-orbit census ----------------------------------------------
@@ -733,9 +774,8 @@ def line_perm(geom: Geometry, W) -> np.ndarray:
 def line_orbit_census(geom: Geometry) -> dict:
     """Full decomposition of the lines under the curve stabilizer, with
     tags for the families identified elsewhere."""
+    _require_line_scale(geom)
     q = geom.F.q
-    if q > 5:
-        raise ValueError(f"line-orbit census is refused for q={q} > 5")
     lt = geom.lines()
     perms = _line_perms(geom)
     orbit_id = G.orbits_from_perms(perms, geom.n_lines)

@@ -44,10 +44,6 @@ class QuasiKind:
         return f"S{self.j}+H2"
 
 
-def hermitian_size(q: int) -> int:
-    return (q**3 + 1) * (q**2 + 1)
-
-
 def h_orbit_masks(geom: Geometry):
     """The two K-orbits on the Hermitian surface minus the curve."""
     dec = G.orbit_decomposition(geom, "K")
@@ -108,7 +104,7 @@ def verify_quasi_hermitian(geom: Geometry, mask: np.ndarray) -> dict:
     spec = plane_spectrum(geom, mask)
     size = int(mask.sum())
     lo, hi = q**3 + 1, q**3 + q**2 + 1
-    want_hi = hermitian_size(q)
+    want_hi = V.size_hermitian(q)
     want_lo = geom.n_points - want_hi
     ok = (
         set(spec) == {lo, hi}

@@ -220,6 +220,22 @@ def build_surface(geom: Geometry, sid: SurfaceId) -> np.ndarray:
 # -- size formulas (used as the second route in tests and reports) ---------
 
 
+def size_hermitian(q: int) -> int:
+    return (q**3 + 1) * (q**2 + 1)
+
+
+def size_quadric(q: int) -> int:
+    return (q**2 + 1) ** 2
+
+
+def size_baer(q: int) -> int:
+    return q**3 + q**2 + q + 1
+
+
+def size_curve(q: int) -> int:
+    return q**2 + 1
+
+
 def size_S(q: int) -> int:
     return q**2 * (q**2 + 1) * (q - 1) // 2 + q**2 + 1
 

@@ -21,15 +21,15 @@ def test_field_info(capsys):
 
 
 def test_geometry_counts(capsys):
-    code, out, _ = run(capsys, "geometry", "--q", "3", "--counts")
+    code, out, _ = run(capsys, "geometry", "--q", "3")
     d = json.loads(out)
     assert code == 0
     assert (d["points"], d["planes"], d["lines"]) == (820, 820, 7462)
 
 
 def test_idempotent_output(capsys):
-    _, a, _ = run(capsys, "surfaces", "--q", "3", "--list")
-    _, b, _ = run(capsys, "surfaces", "--q", "3", "--list")
+    _, a, _ = run(capsys, "surfaces", "--q", "3")
+    _, b, _ = run(capsys, "surfaces", "--q", "3")
     assert a == b
 
 
@@ -149,3 +149,30 @@ def test_srg_refuses_oversize_transform_before_building(capsys, monkeypatch):
     code, out, err = run(capsys, "srg", "--q", "11", "--allow-large")
     assert code == 2 and out == ""
     assert "q=11" in err and "214358881 cells" in err
+
+
+def test_report_q3(capsys):
+    code, out, _ = run(capsys, "report", "--q", "3")
+    d = json.loads(out)
+    assert code == 0 and d["all_pass"] is True
+    assert [(c["check"], c["status"], c["detail"]) for c in d["checks"]] == [
+        ("variety_sizes", "pass", ""),
+        ("invariant_surface_sizes", "pass", ""),
+        ("point_orbit_decomposition", "pass", "10 orbits"),
+        ("pgl_merge", "pass", "7 orbits"),
+        ("stabilizer_orders", "pass", ""),
+        ("quasi_hermitian_planes", "pass", "2 families"),
+        ("quasi_SE_H1E_families", "skip", "k-range empty at q=3"),
+        ("plane_distribution_K", "pass", "10 rows"),
+        ("plane_distribution_G", "pass", "7 rows"),
+        ("v4_line_census", "pass", "40 lines"),
+        ("v1_line_census", "pass", ""),
+        ("v2_line_census", "pass", ""),
+        ("v3_line_bounds", "pass", ""),
+        ("line_meet_bounds", "pass", ""),
+        ("pencil_point_counts", "pass", ""),
+        ("net_rank_census", "pass", ""),
+        ("klein_orbit_lengths", "pass", "9 omegas"),
+        ("line_orbit_count", "pass", "found 28, conjectured 28"),
+        ("srg_and_code", "pass", "k=2240 lambda=781 mu=756"),
+    ]

@@ -109,8 +109,9 @@ def test_special_lines_Lk_q5():
         fam = I.special_lines(g5, k)
         assert len(fam["lines"]) == 156  # (q+1)(q^2+1)
         assert all(fam["checks"].values())
-    dual = I.special_lines_duality(g5, 1)
-    assert dual["polar_lines_in_partner"] and dual["two_per_polar_plane"]
+    for k in (1, 3):
+        dual = I.special_lines_duality(g5, k)
+        assert dual["polar_lines_in_partner"] and dual["two_per_polar_plane"]
     with pytest.raises(ValueError):
         I.special_lines(g5, 2)  # excluded middle index
 
@@ -330,10 +331,11 @@ def test_klein_orbit_lengths(q):
     g = geometry_for_q(q)
     F = g.F
     for omega in range(F.q2):
-        want = q**6 - q**2
-        if omega not in (0, 1):
-            want //= 2
+        want = I.expected_klein_orbit_length(q, omega)
         assert I.klein_orbit_length(g, omega) == want
+    # q^6 - q^2 on omega in {0, 1}, half of it elsewhere
+    assert I.expected_klein_orbit_length(3, 1) == 720
+    assert I.expected_klein_orbit_length(3, 2) == 360
 
 
 def test_line_orbit_census_q3(g3):

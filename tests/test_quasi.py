@@ -30,7 +30,7 @@ def test_assemble_validation(g3):
 
 def test_assemble_sizes(g3):
     m = QH.assemble(g3, QH.QuasiKind("SH2", j=1))
-    assert int(m.sum()) == 280 == QH.hermitian_size(3)
+    assert int(m.sum()) == 280 == V.size_hermitian(3)
     g5 = geometry_for_q(5)
     for kind in (QH.QuasiKind("SE", j=1, k=1), QH.QuasiKind("H1E", k=3)):
         assert int(QH.assemble(g5, kind).sum()) == 3276
