@@ -17,12 +17,11 @@ for q in (3, 5):
         coords = [int(x) for x in g.pts[rep]]
         print(f"  {lab:7s} size {size:5d}  stabilizer {stab:3d}  rep {coords}")
         assert stab * size == G.group_order(q, "K")
-    assert dec.n_orbits == 2 * q + 4
+    assert dec.n_orbits == G.expected_orbit_count(q, "K")
 
     decG = G.orbit_decomposition(g, "G")
-    decGp = G.orbit_decomposition(g, "Gp")
+    same = G.same_partition(decG, G.orbit_decomposition(g, "Gp"))
     print(f"under G: {decG.n_orbits} orbits (q+4 = {q+4}); "
-          f"G' gives the same decomposition: "
-          f"{sorted(decG.sizes) == sorted(decGp.sizes)}")
-    assert decG.n_orbits == q + 4 and decGp.n_orbits == q + 4
+          f"G' gives the same decomposition: {same}")
+    assert decG.n_orbits == G.expected_orbit_count(q, "G") and same
     print()

@@ -166,17 +166,15 @@ def cmd_orbits(args):
 
     geom = _geometry(args)
     dec = G.orbit_decomposition(geom, args.group)
-    rows = []
-    for i, lab in enumerate(dec.labels):
-        rep = dec.reps[i]
-        entry = {
+    rows = [
+        {
             "label": lab,
-            "size": dec.sizes[i],
+            "size": size,
             "representative": [int(x) for x in geom.pts[rep]],
+            "stabilizer_order": G.stabilizer_order(geom, rep, args.group),
         }
-        if not args.no_stabilizers:
-            entry["stabilizer_order"] = G.stabilizer_order(geom, rep, args.group)
-        rows.append(entry)
+        for lab, size, rep in zip(dec.labels, dec.sizes, dec.reps)
+    ]
     emit(
         args,
         {
@@ -438,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", help="surface id like S:1 or E:0")
     p = add("orbits", cmd_orbits)
     p.add_argument("--group", choices=("K", "G", "Gp"), default="K")
-    p.add_argument("--no-stabilizers", action="store_true", help="skip the group scan")
     p = add("tables", cmd_tables)
     p.add_argument("--group", choices=("K", "G"), default="K")
     p = add("verify-quasi", cmd_verify_quasi)

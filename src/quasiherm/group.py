@@ -10,13 +10,20 @@ come out right.  The three groups:
     G   all invertible matrices               ~ PGL(2, q^2)
     G'  G extended by the swap X2 <-> X3 (iota)
 
-Projective identity of 2x2 matrices is tested on the canonical scaling
-(first nonzero entry 1); squareness of the determinant is invariant
-under that scaling, so membership of a class in K is well defined.
+The projective classes of 2x2 matrices are points of PG(3, q^2).  A
+class (a, b, c, d) is stored in canonical scaling (first nonzero entry
+1), the same rule and ranking as a point, and its determinant ad - bc
+is the quadric form X1X4 - X2X3.  So the classes of G are the rows of
+geom.pts off the quadric (Q^3 - Q of them) and those of K the ones
+whose quadric value is a square; squareness is invariant under
+scaling, so membership of a class in K is well defined.
 
-Orbits are computed by breadth-first closure under a fixed generating
-set whose completeness is verified once per field by multiplicative
-closure; stabilizers by exhaustive scan of the enumerated group.
+Reading a point X as the matrix [[x1, x2], [x3, x4]], the Kronecker
+layout M[2i+k][2j+l] = A^q[i][j] A[k][l] sends X to A^q . X . A^t, and
+iota sends X to X^t.  Stabilizers are counted by applying every class
+to the point at once; orbits are computed by breadth-first closure
+under a fixed generating set, whose completeness is verified once per
+field by closing the identity class under left multiplication.
 """
 
 from __future__ import annotations
@@ -33,29 +40,9 @@ KINDS = ("K", "G", "Gp")
 IOTA = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 
 
-def mat2_canonical(F, A):
-    a, b, c, d = A
-    for lead in (a, b, c, d):
-        if lead:
-            inv = F.inv(lead)
-            return (F.mul(a, inv), F.mul(b, inv), F.mul(c, inv), F.mul(d, inv))
-    raise ValueError("zero matrix")
-
-
 def mat2_det(F, A):
     a, b, c, d = A
     return F.sub(F.mul(a, d), F.mul(b, c))
-
-
-def mat2_mul(F, A, B):
-    a, b, c, d = A
-    e, f_, g, h = B
-    return (
-        F.add(F.mul(a, e), F.mul(b, g)),
-        F.add(F.mul(a, f_), F.mul(b, h)),
-        F.add(F.mul(c, e), F.mul(d, g)),
-        F.add(F.mul(c, f_), F.mul(d, h)),
-    )
 
 
 def kron_action(F, A):
@@ -74,71 +61,20 @@ def kron_action(F, A):
     return tuple(tuple(r) for r in M)
 
 
-def mat4_mul(F, M, N):
-    out = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            acc = 0
-            for k in range(4):
-                acc = F.add(acc, F.mul(M[i][k], N[k][j]))
-            out[i][j] = acc
-    return tuple(tuple(r) for r in out)
+def _class_mask(geom: Geometry, kind: str) -> np.ndarray:
+    """Points of PG(3, q^2) that are the 2x2 classes of K or G."""
+    if kind not in ("K", "G"):
+        raise ValueError("kind must be K or G")
+    qv = V.quadric_values(geom)
+    mask = qv != 0
+    if kind == "K":
+        mask &= geom.F.is_square_t[qv]
+    return mask
 
 
-def apply_point(F, M, vec):
-    """Column action: image[i] = sum_j M[i][j] * vec[j]."""
-    out = []
-    for i in range(4):
-        acc = 0
-        for j in range(4):
-            acc = F.add(acc, F.mul(M[i][j], vec[j]))
-        out.append(acc)
-    return out
-
-
-@dataclass(frozen=True)
-class GroupElem:
-    """A projectivity of G': 2x2 class, optionally composed with iota."""
-
-    mat: tuple
-    swap: bool = False
-
-    def matrix4(self, F):
-        M = kron_action(F, self.mat)
-        return mat4_mul(F, M, IOTA) if self.swap else M
-
-    def in_K(self, F) -> bool:
-        return not self.swap and F.is_square(mat2_det(F, self.mat))
-
-
-def enumerate_group(F, kind: str):
-    """Duplicate-free iteration over the projective classes of a group."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    Q = F.q2
-    swaps = (False, True) if kind == "Gp" else (False,)
-    for swap in swaps:
-        # canonical classes by leading-one position in (a, b, c, d)
-        for a, b, c, d in _canonical_mats(Q):
-            det = mat2_det(F, (a, b, c, d))
-            if det == 0:
-                continue
-            if kind == "K" and not F.is_square(det):
-                continue
-            yield GroupElem((a, b, c, d), swap)
-
-
-def _canonical_mats(Q):
-    for b in range(Q):
-        for c in range(Q):
-            for d in range(Q):
-                yield (1, b, c, d)
-    for c in range(Q):
-        for d in range(Q):
-            yield (0, 1, c, d)
-    for d in range(Q):
-        yield (0, 0, 1, d)
-    yield (0, 0, 0, 1)
+def group_classes(geom: Geometry, kind: str) -> np.ndarray:
+    """Canonical 2x2 classes (a, b, c, d) of K or G, one row each."""
+    return geom.pts[_class_mask(geom, kind)]
 
 
 def group_order(q: int, kind: str) -> int:
@@ -164,24 +100,22 @@ def generators(F, kind: str):
     return gens
 
 
-def verify_generators(F) -> bool:
-    """Closure of the SL generators must hit every class of K exactly."""
-    target = group_order(F.q, "K")
-    gens = [mat2_canonical(F, A) for A in sl2_generators(F)]
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for B in frontier:
-            for A in gens:
-                C = mat2_canonical(F, mat2_mul(F, A, B))
-                if C not in seen:
-                    seen.add(C)
-                    nxt.append(C)
-        frontier = nxt
-        if len(seen) > target:
-            return False
-    return len(seen) == target
+def verify_generators(geom: Geometry) -> bool:
+    """The SL generators must reach exactly the classes of K.
+
+    Left multiplication B -> A.B is the linear map A (x) I on
+    (a, b, c, d), so the classes reached from the identity are one
+    point orbit of those maps.
+    """
+    perms = [
+        point_perm(geom, ((a, 0, b, 0), (0, a, 0, b), (c, 0, d, 0), (0, c, 0, d)))
+        for a, b, c, d in sl2_generators(geom.F)
+    ]
+    reached = np.zeros(geom.n_points, dtype=bool)
+    close_orbit(perms, geom.point_index((1, 0, 0, 1)), reached)
+    return int(reached.sum()) == group_order(geom.F.q, "K") and bool(
+        (reached == _class_mask(geom, "K")).all()
+    )
 
 
 # -- point permutations and orbits -----------------------------------------
@@ -205,12 +139,11 @@ def generator_perms(geom: Geometry, kind: str):
     key = ("perms", kind)
 
     def build():
-        F = geom.F
         if not geom.cache.get("gens_verified"):
-            if not verify_generators(F):
+            if not verify_generators(geom):
                 raise RuntimeError("SL(2,q^2) generator closure check failed")
             geom.cache["gens_verified"] = True
-        return [point_perm(geom, M) for M in generators(F, kind)]
+        return [point_perm(geom, M) for M in generators(geom.F, kind)]
 
     return V._cached(geom, key, build)
 
@@ -358,6 +291,17 @@ def expected_orbit_sizes(q: int) -> dict:
     return sizes
 
 
+def expected_orbit_count(q: int, kind: str) -> int:
+    """2q+4 point orbits under K; q+4 under G, which G' does not merge."""
+    return len(expected_orbit_sizes(q)) if kind == "K" else q + 4
+
+
+def same_partition(dec_a: OrbitDecomposition, dec_b: OrbitDecomposition) -> bool:
+    """Whether two decompositions split the points into the same orbits."""
+    pairs = dec_a.orbit_id.astype(np.int64) * dec_b.n_orbits + dec_b.orbit_id
+    return np.unique(pairs).size == dec_a.n_orbits == dec_b.n_orbits
+
+
 def orbit_decomposition(geom: Geometry, kind: str = "K") -> OrbitDecomposition:
     key = ("decomp", kind)
 
@@ -393,14 +337,37 @@ def expected_stabilizer_order(geom: Geometry, point_idx: int) -> int:
     return group_order(q, "K") // expected_orbit_sizes(q)[label]
 
 
+def _class_images(geom: Geometry, classes: np.ndarray, X) -> np.ndarray:
+    """Rows A^q . X . A^t for every class row A, X a point as a 2x2 matrix."""
+    F = geom.F
+    mul, add = F.mul_t, F.add_t
+    A = classes
+    Aq = F.frob_t[A]
+    # Y = A^q . X, then Z = Y . A^t, entries in row-major order
+    Y = [
+        add[mul[Aq[:, 2 * i], X[j]], mul[Aq[:, 2 * i + 1], X[2 + j]]]
+        for i in range(2)
+        for j in range(2)
+    ]
+    Z = [
+        add[mul[Y[2 * i], A[:, 2 * k]], mul[Y[2 * i + 1], A[:, 2 * k + 1]]]
+        for i in range(2)
+        for k in range(2)
+    ]
+    return np.stack(Z, axis=1)
+
+
 def stabilizer_order(geom: Geometry, point_idx: int, kind: str = "K") -> int:
     """Number of group elements fixing the point, by exhaustive scan."""
-    F = geom.F
-    vec = [int(x) for x in geom.pts[point_idx]]
-    target = point_idx
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    classes = group_classes(geom, "K" if kind == "K" else "G")
+    x1, x2, x3, x4 = (int(v) for v in geom.pts[point_idx])
+    points = [(x1, x2, x3, x4)]
+    if kind == "Gp":
+        points.append((x1, x3, x2, x4))  # iota: X -> X^t
     count = 0
-    for g in enumerate_group(F, kind):
-        img = apply_point(F, g.matrix4(F), vec)
-        if geom.point_index(img) == target:
-            count += 1
+    for X in points:
+        img = geom.canonicalize_rows(_class_images(geom, classes, X))
+        count += int((geom.index_rows(img) == point_idx).sum())
     return count

@@ -62,29 +62,15 @@ def report_all(geom: Geometry) -> list:
     )
 
     decG = G.orbit_decomposition(geom, "G")
-    decGp = G.orbit_decomposition(geom, "Gp")
-    merge_ok = decG.n_orbits == q + 4 and decGp.n_orbits == q + 4
-    relabel = {}
-    agree = True
-    for a, b in zip(decG.orbit_id.tolist(), decGp.orbit_id.tolist()):
-        if a in relabel and relabel[a] != b:
-            agree = False
-            break
-        relabel.setdefault(a, b)
-    _entry(res, "pgl_merge", merge_ok and agree, f"{decG.n_orbits} orbits")
+    merge_ok = decG.n_orbits == G.expected_orbit_count(q, "G")
+    merge_ok &= G.same_partition(decG, G.orbit_decomposition(geom, "Gp"))
+    _entry(res, "pgl_merge", merge_ok, f"{decG.n_orbits} orbits")
 
-    if q <= 7:
-        reps = G.named_representatives(geom)
-        # Q1 and Q_((q-1)/2) are the same point at q = 3; scan it once
-        names = dict.fromkeys(("U", "R1", "T1", "T2", f"Q{(q - 1) // 2}", "Q1"))
-        ok = all(
-            G.stabilizer_order(geom, reps[nm], "K")
-            == G.expected_stabilizer_order(geom, reps[nm])
-            for nm in names
-        )
-        _entry(res, "stabilizer_orders", ok)
-    else:
-        _skip(res, "stabilizer_orders", "group scan beyond bound")
+    ok = all(
+        G.stabilizer_order(geom, rep, "K") == G.expected_stabilizer_order(geom, rep)
+        for rep in dec.reps
+    )
+    _entry(res, "stabilizer_orders", ok)
 
     kinds = QH.valid_kinds(q)
     if q >= 7:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .projgeom import Geometry
 from . import group as G
-from . import varieties as V
 
 
 def parse_label(label: str, q: int):
@@ -276,29 +275,14 @@ def plane_orbit_distribution(
     return {decomp.labels[i]: int(c) for i, c in enumerate(counts)}
 
 
-def row_representatives(geom: Geometry, decomp: G.OrbitDecomposition) -> dict:
-    """Named representative point per orbit label (falls back to least index)."""
-    reps = G.named_representatives(geom)
-    curve_idx = int(V.curve_points(geom)[0])
-    out = {}
-    for i, lab in enumerate(decomp.labels):
-        out[lab] = decomp.reps[i]
-    out["O"] = curve_idx
-    for name, idx in reps.items():
-        lab = decomp.labels[decomp.orbit_id[idx]]
-        out.setdefault(lab, idx)
-    return out
-
-
 def verify_table(geom: Geometry, kind: str) -> list:
     """Compare every computed polar-plane row against the expected entries."""
     q = geom.F.q
     decomp = G.orbit_decomposition(geom, kind)
     expected = expected_K_entry if kind == "K" else expected_G_entry
-    reps = row_representatives(geom, decomp)
     results = []
-    for row_label in decomp.labels:
-        got = plane_orbit_distribution(geom, decomp, reps[row_label])
+    for row_label, rep in zip(decomp.labels, decomp.reps):
+        got = plane_orbit_distribution(geom, decomp, rep)
         want = {col: expected(q, row_label, col) for col in decomp.labels}
         results.append(
             {

@@ -52,12 +52,8 @@ def test_criterion_02_pgl_merge():
         g = geometry_for_q(q)
         decG = G.orbit_decomposition(g, "G")
         decGp = G.orbit_decomposition(g, "Gp")
-        agree = decG.n_orbits == decGp.n_orbits == q + 4
-        relabel = {}
-        for a, b in zip(decG.orbit_id.tolist(), decGp.orbit_id.tolist()):
-            if relabel.setdefault(a, b) != b:
-                agree = False
-                break
+        agree = decG.n_orbits == G.expected_orbit_count(q, "G") == q + 4
+        agree &= G.same_partition(decG, decGp)
         ok &= agree
         details.append(f"q={q}: {decG.n_orbits} orbits, G' identical={agree}")
     verdict(2, ok, "; ".join(details))
@@ -66,7 +62,7 @@ def test_criterion_02_pgl_merge():
 def test_criterion_03_stabilizer_orders():
     ok = True
     details = []
-    for q in (3, 5):
+    for q in (3, 5, 7):
         g = geometry_for_q(q)
         reps = G.named_representatives(g)
         names = ["U", "T1", "T2"]

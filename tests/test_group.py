@@ -19,24 +19,34 @@ def test_kron_identity(g3):
 
 
 def test_group_orders_by_enumeration(g3):
+    assert len(G.group_classes(g3, "K")) == 360
+    assert len(G.group_classes(g3, "G")) == 720
+    assert 2 * len(G.group_classes(g3, "G")) == G.group_order(3, "Gp") == 1440
+    assert len(G.group_classes(geometry_for_q(5), "K")) == 7800
+
+
+def test_group_classes_are_invertible_and_canonical(g3):
     F = g3.F
-    assert sum(1 for _ in G.enumerate_group(F, "K")) == 360
-    assert sum(1 for _ in G.enumerate_group(F, "G")) == 720
-    assert sum(1 for _ in G.enumerate_group(F, "Gp")) == 1440
-    F5 = geometry_for_q(5).F
-    assert sum(1 for _ in G.enumerate_group(F5, "K")) == 7800
+    for kind in ("K", "G"):
+        classes = G.group_classes(g3, kind)
+        assert (g3.canonicalize_rows(classes) == classes).all()
+        dets = [G.mat2_det(F, tuple(A)) for A in classes.tolist()]
+        assert all(dets)
+        assert all(F.is_square(d) for d in dets) == (kind == "K")
+    with pytest.raises(ValueError):
+        G.group_classes(g3, "Gp")
 
 
 def test_generators_generate(g3):
-    assert G.verify_generators(g3.F)
-    assert G.verify_generators(geometry_for_q(5).F)
+    assert G.verify_generators(g3)
+    assert G.verify_generators(geometry_for_q(5))
 
 
 def test_elements_distinct_projectivities(g3):
     # the Kronecker map is faithful: distinct classes act differently
     seen = set()
-    for g in G.enumerate_group(g3.F, "K"):
-        perm = tuple(G.point_perm(g3, g.matrix4(g3.F))[:40])
+    for A in G.group_classes(g3, "K").tolist():
+        perm = tuple(G.point_perm(g3, G.kron_action(g3.F, tuple(A)))[:40])
         assert perm not in seen
         seen.add(perm)
 
@@ -131,9 +141,8 @@ def test_G_merges_and_Gp_equal(g3):
     decG = G.orbit_decomposition(g3, "G")
     decGp = G.orbit_decomposition(g3, "Gp")
     assert decG.n_orbits == 7 and decGp.n_orbits == 7
-    relabel = {}
-    for a, b in zip(decG.orbit_id.tolist(), decGp.orbit_id.tolist()):
-        assert relabel.setdefault(a, b) == b
+    assert G.expected_orbit_count(3, "G") == 7
+    assert G.same_partition(decG, decGp)
     # merges: S1 with S3, E0 with E2, Sigma1 with Sigma2
     decK = G.orbit_decomposition(g3, "K")
     assert (
@@ -149,7 +158,7 @@ def test_diag_xi_sends_T1_into_T2_orbit(g3):
     F = g3.F
     reps = G.named_representatives(g3)
     M = G.kron_action(F, (1, 0, 0, F.xi))
-    img = g3.point_index(G.apply_point(F, M, [F.xi, 1, 1, 0]))
+    img = int(G.point_perm(g3, M)[g3.point_index((F.xi, 1, 1, 0))])
     dec = G.orbit_decomposition(g3, "K")
     assert dec.orbit_id[img] == dec.orbit_id[reps["T2"]]
     # and the image shares the defining surface values with T2
@@ -183,10 +192,40 @@ def test_stabilizer_orders(q, name, expect):
 
 
 def test_orbit_stabilizer_consistency(g3):
-    dec = G.orbit_decomposition(g3, "K")
+    for kind in G.KINDS:
+        dec = G.orbit_decomposition(g3, kind)
+        for rep, size in zip(dec.reps, dec.sizes):
+            assert G.stabilizer_order(g3, rep, kind) * size == G.group_order(3, kind)
+
+
+@pytest.fixture(scope="module")
+def element_perms(g3):
+    """Point permutation of every class of G, and whether it lies in K."""
+    F = g3.F
+    mats = [tuple(A) for A in G.group_classes(g3, "G").tolist()]
+    perms = np.array([G.point_perm(g3, G.kron_action(F, A)) for A in mats])
+    in_K = np.array([F.is_square(G.mat2_det(F, A)) for A in mats])
+    return perms, in_K
+
+
+@pytest.mark.parametrize("kind", G.KINDS)
+def test_stabilizer_scan_matches_per_element_oracle(g3, element_perms, kind):
+    # one permutation per element, each built from its own 4x4 matrix;
+    # a G' element M.IOTA acts as iota first, then M
+    perms, in_K = element_perms
+    if kind == "K":
+        perms = perms[in_K]
+    elif kind == "Gp":
+        iota = G.point_perm(g3, G.IOTA)
+        perms = np.concatenate([perms, perms[:, iota]])
+    assert len(perms) == G.group_order(3, kind)
+    fixed = (perms == np.arange(g3.n_points)).sum(axis=0)
+    dec = G.orbit_decomposition(g3, kind)
+    for rep in dec.reps:
+        assert G.stabilizer_order(g3, rep, kind) == fixed[rep]
+    # the stabilizer order is constant on each orbit
     for i in range(dec.n_orbits):
-        stab = G.stabilizer_order(g3, dec.reps[i], "K")
-        assert stab * dec.sizes[i] == 360
+        assert len(set(fixed[dec.orbit_id == i].tolist())) == 1
 
 
 def test_polarity_equivariance(g3):

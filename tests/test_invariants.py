@@ -128,7 +128,7 @@ def test_line_meet_bounds(g3):
 
 def test_plane_distribution_row_example(g3):
     dec = G.orbit_decomposition(g3, "K")
-    reps = T.row_representatives(g3, dec)
+    reps = dict(zip(dec.labels, dec.reps))
     row = T.plane_orbit_distribution(g3, dec, reps["O"])
     assert row["O"] == 1 and row["Qplus"] == 18 and row["H1"] == 0
     assert row["H2"] == 36 and row["Sigma1"] == row["Sigma2"] == 6
@@ -314,12 +314,9 @@ def test_exterior_square_equivariance(g3):
         if G.mat2_det(F, A) == 0:
             continue
         M = G.kron_action(F, A)
+        Mrows = np.array(M, dtype=np.int16)
         u, v = lt.basis[li]
-        gu = G.apply_point(F, M, [int(x) for x in u])
-        gv = G.apply_point(F, M, [int(x) for x in v])
-        direct = lt.pluecker_of_span(
-            np.array(gu, dtype=np.int16), np.array(gv, dtype=np.int16)
-        )
+        direct = lt.pluecker_of_span(g3.dot_rows(Mrows, u), g3.dot_rows(Mrows, v))
         W = I.exterior_square(F, M)
         via_w = I.apply_pluecker(F, [int(x) for x in lt.pluecker[li]], W)
         via_w = g3.canonicalize_rows(np.array([via_w], dtype=np.int16))[0]
