@@ -5,9 +5,6 @@ report carries a header with q, the modulus polynomial and the
 distinguished constants so runs are reproducible; output is
 deterministic for a fixed command line (JSON keys sorted, no
 timestamps).
-
-The thread-count override QUASIHERM_THREADS, when set, is exported to
-the BLAS thread variables before numpy loads.
 """
 
 from __future__ import annotations
@@ -16,17 +13,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__
-
-
-def _apply_thread_env():
-    n = os.environ.get("QUASIHERM_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
 
 
 MAX_CLI_Q = 7
@@ -466,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

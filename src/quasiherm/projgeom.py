@@ -18,9 +18,16 @@ Lines are enumerated as the row-reduced-echelon 2x4 bases, one per line,
 and carry canonical Pluecker 6-vectors in the coordinate order
 (p12, p13, p14, p23, p24, p34), satisfying p12*p34 - p13*p24 + p14*p23 = 0.
 
-Incidence counting sweeps (plane spectra) run as exact float32 BLAS
-matrix products on the GF(p)-digit expansion of the coordinates; every
-intermediate value is a small integer, so float arithmetic is exact.
+Incidence sweeps (plane spectra, planes through a point) enumerate
+the Q^2+Q+1 planes through each point P directly, with no plane
+canonicalized.  Pivot on P's last nonzero coordinate l: the other three
+dual coordinates w run over the canonical PG(2, Q) triples and
+u_l = -sum(w_f P_f) / P_l.  If w's leading 1 comes before position l, u
+keeps it; if it comes after l, every P_f under a nonzero w_f is 0, so
+u_l = 0.  Either way u is canonical with w's leading position, and its
+index is that of (w, 0 at l) plus u_l * Q^(3-l).  Points and planes
+share one indexing and u . P is symmetric, so the points of a plane are
+the planes through the point with the same index.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ class Geometry:
         self.n_lines = (Q**2 + 1) * (Q**2 + Q + 1)
         self.pts = self._build_points()
         self.cache: dict = {}
-        self._digits = None
         self._lines = None
 
     # -- points ---------------------------------------------------------
@@ -111,15 +117,14 @@ class Geometry:
             acc = F.add_t[acc, F.mul_t[rows[:, i], vec[i]]]
         return acc
 
-    def plane_points(self, plane_idx: int) -> np.ndarray:
-        """Indices of the Q^2+Q+1 points on a plane (by dual index)."""
-        u = self.pts[plane_idx]
-        vals = self.dot_rows(self.pts, u)
-        return np.flatnonzero(vals == 0)
-
     def planes_through(self, point_idx: int) -> np.ndarray:
-        """Dual statement of plane_points: planes containing a point."""
-        return self.plane_points(point_idx)
+        """Sorted indices of the Q^2+Q+1 planes containing a point."""
+        (blk,) = self._plane_blocks(self.pts[point_idx][None, :])
+        return np.sort(blk[0])
+
+    def plane_points(self, plane_idx: int) -> np.ndarray:
+        """Sorted indices of the points on a plane (by dual index)."""
+        return self.planes_through(plane_idx)
 
     # -- polarities --------------------------------------------------------
 
@@ -160,116 +165,50 @@ class Geometry:
 
     # -- bulk incidence counting ------------------------------------------
 
-    def point_digits(self) -> np.ndarray:
-        """(N, 8e) float32 GF(p)-digit expansion of the coordinates."""
-        if self._digits is None:
-            F = self.F
-            d = 2 * F.e
-            dig = F.digits[self.pts]  # (N, 4, d)
-            self._digits = dig.reshape(len(self.pts), 4 * d).astype(np.float32)
-        return self._digits
-
-    def _component_blocks(self):
-        """Per-digit bilinear blocks B_m[u,v] = digit_m(x^(u+v) mod f)."""
-        F = self.F
-        d = 2 * F.e
-        key = "blocks"
-        if key not in self.cache:
-            blocks = []
-            for m in range(d):
-                B = np.zeros((d, d), dtype=np.float32)
-                for u in range(d):
-                    for v in range(d):
-                        B[u, v] = F.digits[F.exp[u + v], m]
-                big = np.zeros((4 * d, 4 * d), dtype=np.float32)
-                for t in range(4):
-                    big[t * d : (t + 1) * d, t * d : (t + 1) * d] = B
-                blocks.append(big)
-            self.cache[key] = blocks
-        return self.cache[key]
-
-    def pg2_triples(self) -> np.ndarray:
-        """Canonical representatives of PG(2, Q), shape (Q^2+Q+1, 3)."""
-        if "pg2" not in self.cache:
-            Q = self.Q
-            M = Q**2 + Q + 1
-            tri = np.zeros((M, 3), dtype=np.int16)
-            idx = np.arange(Q**2)
-            tri[: Q**2, 0] = 1
-            tri[: Q**2, 1] = idx // Q
-            tri[: Q**2, 2] = idx % Q
-            tri[Q**2 : Q**2 + Q, 1] = 1
-            tri[Q**2 : Q**2 + Q, 2] = np.arange(Q)
-            tri[M - 1, 2] = 1
-            self.cache["pg2"] = tri
-        return self.cache["pg2"]
+    def _plane_blocks(self, P: np.ndarray):
+        """Yield (b, Q^2+Q+1) blocks of the plane indices through rows of P."""
+        F, Q = self.F, self.Q
+        tri = self.pts[Q**3 :, 1:]
+        m3 = len(tri)
+        last = 3 - (P[:, ::-1] != 0).argmax(axis=1)
+        block = max(1, (1 << 22) // m3)
+        ramp = np.arange(Q)
+        for l in range(4):
+            sel = P[last == l]
+            if len(sel) == 0:
+                continue
+            others = [c for c in range(4) if c != l]
+            rows = np.zeros((m3, 4), dtype=np.int16)
+            rows[:, others] = tri
+            off = self.index_rows(rows)
+            # u_l = sum_f w_f * c_f with c_f = -P_f / P_l
+            coef = F.mul_t[F.neg_t[sel[:, others]], F.inv_t[sel[:, l]][:, None]]
+            for start in range(0, len(sel), block):
+                c = coef[start : start + block, :, None]
+                b = len(c)
+                # tri runs over (1, x, y), (0, 1, y), (0, 0, 1) in this order,
+                # so u_l is c0 + x*c1 + y*c2, then c1 + y*c2, then c2
+                yc2 = F.mul_t[c[:, 2], ramp]
+                head = F.add_t[c[:, 0], F.mul_t[c[:, 1], ramp]]
+                idx = np.empty((b, m3), dtype=np.int64)
+                idx[:, : Q * Q] = F.add_t[head[:, :, None], yc2[:, None]].reshape(b, -1)
+                idx[:, Q * Q : -1] = F.add_t[c[:, 1], yc2]
+                idx[:, -1:] = c[:, 2]
+                idx *= Q ** (3 - l)
+                idx += off
+                yield idx
 
     def incidence_counts(self, point_mask: np.ndarray) -> np.ndarray:
         """For every plane, the exact number of masked points on it.
 
         Enumerates, for each masked point, the Q^2+Q+1 planes through it
-        (the projectivized null space of u . P = 0) and accumulates a
-        histogram over plane indices; every plane/point incidence is
-        visited exactly once, so the sweep is exhaustive.
+        and accumulates a histogram over plane indices; every
+        plane/point incidence is visited exactly once, so the sweep is
+        exhaustive.
         """
-        F = self.F
-        tri = self.pg2_triples()
-        m3 = len(tri)
         counts = np.zeros(self.n_points, dtype=np.int64)
-        pts_idx = np.flatnonzero(point_mask)
-        if len(pts_idx) == 0:
-            return counts
-        P = self.pts[pts_idx]
-        lead = (P != 0).argmax(axis=1)
-        block = max(1, (1 << 22) // m3)
-        for l in range(4):
-            sel = P[lead == l]
-            others = [c for c in range(4) if c != l]
-            for start in range(0, len(sel), block):
-                blk = sel[start : start + block]
-                b = len(blk)
-                if b == 0:
-                    continue
-                # dual solutions: u_f = c_f on free coords, u_l = -sum c_f P_f
-                val = F.mul_t[tri[None, :, 0], blk[:, others[0]][:, None]]
-                for t in (1, 2):
-                    prod = F.mul_t[tri[None, :, t], blk[:, others[t]][:, None]]
-                    val = F.add_t[val, prod]
-                rows = np.empty((b, m3, 4), dtype=np.int16)
-                rows[:, :, l] = F.neg_t[val]
-                for t, c in enumerate(others):
-                    rows[:, :, c] = tri[None, :, t]
-                flat = self.canonicalize_rows(rows.reshape(-1, 4))
-                counts += np.bincount(
-                    self.index_rows(flat), minlength=self.n_points
-                )
-        return counts
-
-    def incidence_counts_reference(self, point_mask: np.ndarray) -> np.ndarray:
-        """Independent route to the same counts via GF(p)-digit products.
-
-        sum(u_i P_i) = 0 is tested componentwise on the digit expansion;
-        the float32 matrix products stay below 2^11 so they are exact.
-        Quadratic in the point count; intended for cross-checks at small q.
-        """
-        F = self.F
-        p = float(F.p)
-        C = self.point_digits()
-        S = C[point_mask]
-        if len(S) == 0:
-            return np.zeros(self.n_points, dtype=np.int64)
-        blocks = self._component_blocks()
-        rights = [B @ S.T for B in blocks]  # (8e, |S|) each
-        counts = np.zeros(self.n_points, dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(1, len(S)))
-        for start in range(0, self.n_points, chunk):
-            stop = min(self.n_points, start + chunk)
-            z = None
-            for R in rights:
-                V = np.remainder(C[start:stop] @ R, p)
-                zb = V == 0
-                z = zb if z is None else (z & zb)
-            counts[start:stop] = z.sum(axis=1)
+        for idx in self._plane_blocks(self.pts[point_mask]):
+            counts += np.bincount(idx.ravel(), minlength=self.n_points)
         return counts
 
     # -- lines -------------------------------------------------------------

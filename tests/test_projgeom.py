@@ -1,13 +1,71 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasiherm.projgeom import geometry_for_q, solve_two_planes
+from quasiherm import quasi as QH
 from quasiherm import varieties as V
 
 
 @pytest.fixture(scope="module")
 def g3():
     return geometry_for_q(3)
+
+
+# -- independent oracle: plane counts from GF(p)-digit products ----------
+
+
+def point_digits(geom) -> np.ndarray:
+    """(N, 8e) float32 GF(p)-digit expansion of the coordinates."""
+    F = geom.F
+    d = 2 * F.e
+    dig = F.digits[geom.pts]  # (N, 4, d)
+    return dig.reshape(len(geom.pts), 4 * d).astype(np.float32)
+
+
+def _component_blocks(geom):
+    """Per-digit bilinear blocks B_m[u,v] = digit_m(x^(u+v) mod f)."""
+    F = geom.F
+    d = 2 * F.e
+    blocks = []
+    for m in range(d):
+        B = np.zeros((d, d), dtype=np.float32)
+        for u in range(d):
+            for v in range(d):
+                B[u, v] = F.digits[F.exp[u + v], m]
+        big = np.zeros((4 * d, 4 * d), dtype=np.float32)
+        for t in range(4):
+            big[t * d : (t + 1) * d, t * d : (t + 1) * d] = B
+        blocks.append(big)
+    return blocks
+
+
+def incidence_counts_reference(geom, point_mask: np.ndarray) -> np.ndarray:
+    """Independent route to incidence_counts via GF(p)-digit products.
+
+    sum(u_i P_i) = 0 is tested componentwise on the digit expansion;
+    the float32 matrix products stay below 2^11 so they are exact.
+    Quadratic in the point count; intended for cross-checks at small q.
+    """
+    F = geom.F
+    p = float(F.p)
+    C = point_digits(geom)
+    S = C[point_mask]
+    if len(S) == 0:
+        return np.zeros(geom.n_points, dtype=np.int64)
+    blocks = _component_blocks(geom)
+    rights = [B @ S.T for B in blocks]  # (8e, |S|) each
+    counts = np.zeros(geom.n_points, dtype=np.int64)
+    chunk = max(1, (1 << 22) // max(1, len(S)))
+    for start in range(0, geom.n_points, chunk):
+        stop = min(geom.n_points, start + chunk)
+        z = None
+        for R in rights:
+            V = np.remainder(C[start:stop] @ R, p)
+            zb = V == 0
+            z = zb if z is None else (z & zb)
+        counts[start:stop] = z.sum(axis=1)
+    return counts
 
 
 def test_counts(g3):
@@ -124,10 +182,30 @@ def test_unitary_polar_sections(g3):
 
 
 def test_incidence_counts_cross_check(g3):
-    for mask in (V.hermitian_set(g3), V.curve_set(g3)):
+    masks = [V.hermitian_set(g3), V.curve_set(g3), np.ones(g3.n_points, dtype=bool)]
+    for unit in np.eye(4, dtype=np.int16):  # one point per pivot coordinate
+        masks.append(np.arange(g3.n_points) == g3.point_index(unit))
+    for mask in masks:
         fast = g3.incidence_counts(mask)
-        ref = g3.incidence_counts_reference(mask)
+        ref = incidence_counts_reference(g3, mask)
         assert (fast == ref).all()
+    g5 = geometry_for_q(5)
+    for mask in (V.hermitian_set(g5), QH.assemble(g5, QH.QuasiKind("SH2", j=1))):
+        assert (g5.incidence_counts(mask) == incidence_counts_reference(g5, mask)).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=st.sets(st.integers(0, 819), max_size=300))
+def test_incidence_counts_on_random_masks(g3, points):
+    mask = np.zeros(g3.n_points, dtype=bool)
+    mask[list(points)] = True
+    assert (g3.incidence_counts(mask) == incidence_counts_reference(g3, mask)).all()
+
+
+def test_plane_points_match_dot_product_everywhere(g3):
+    for i in range(g3.n_points):
+        on = np.flatnonzero(g3.dot_rows(g3.pts, g3.pts[i]) == 0)
+        assert np.array_equal(g3.plane_points(i), on)
 
 
 def test_solve_two_planes(g3):
